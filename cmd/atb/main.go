@@ -6,6 +6,8 @@
 //
 //	atb -bench latency-protocols|throughput-protocols|latency-hints|throughput-hints|mix [-size N]
 //	    [-metrics] [-trace FILE] [-faults] [-loss P] [-jitter NS] [-deadline NS]
+//	atb -bench overload [-offered-load K,K,...] [-admit-limit N] [-shed-policy block|newest|oldest] [-credits=false]
+//	atb -bench hotpath
 //	atb -bench crash [-sync full|meta|none] [-uptimes NS,NS,...] [-crash-horizon NS]
 //	atb -bench cluster [-rf N,N,...] [-sync full|meta|none] [-uptimes NS,NS,...] [-crash-horizon NS]
 //	atb -bench fanin [-vclients N,N,...] [-pools N,N,...] [-workers N] [-tenant-limit N]
@@ -72,7 +74,7 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "latency-hints", "benchmark: latency-protocols, throughput-protocols, latency-hints, throughput-hints, mix, overload, crash, cluster, hotpath, fanin")
+	bench := flag.String("bench", "latency-hints", "benchmark: latency-protocols, throughput-protocols, latency-hints, throughput-hints, mix, overload, crash, cluster, hotpath, fanin, rolling")
 	size := flag.Int("size", 512, "payload size for the mix benchmark")
 	vclients := flag.String("vclients", "", "fanin bench: comma-separated connected virtual-client counts (default 10000,100000,1000000)")
 	pools := flag.String("pools", "", "fanin bench: comma-separated physical shared-QP pool sizes (default 4,16)")
@@ -327,7 +329,7 @@ func main() {
 				fmt.Sprintf("%.3f", p.Availability),
 				p.Escalations, p.DrainedReqs, p.Promotions,
 				stats.FormatNs(float64(p.ErrWindowNs)),
-				stats.FormatNs(p.RecovAvgNs), stats.FormatNs(float64(p.RecovMaxNs)),
+				stats.FormatNs(p.RecovAvgNs), stats.FormatNs(p.RecovMaxNs),
 				stats.FormatNs(p.ReadyAvgNs))
 		}
 		fmt.Print(tb)

@@ -14,7 +14,6 @@ import (
 	"hatrpc/internal/chaos"
 	"hatrpc/internal/lmdb"
 	"hatrpc/internal/simnet"
-	"hatrpc/internal/stats"
 )
 
 // ClusterBenchConfig parameterizes one RF × crash-rate sweep.
@@ -51,15 +50,9 @@ func DefaultClusterBenchConfig() ClusterBenchConfig {
 type ClusterPoint struct {
 	RF           int
 	MeanUptimeNs int64
-	Crashes      int
-	Acked        int
-	Lost         int     // acked writes absent from the shard authority
-	Availability float64 // acked / (acked + failed put attempts)
-	GoodputOps   float64 // acked writes per second of virtual time
-	Promotions   int64   // epoch-fenced failovers executed
-	StaleRetries int64   // client writes redirected by ErrStaleShardEpoch
-	RecovAvgNs   float64 // mean crash → first-subsequent-ack time
-	RecovP99Ns   float64
+	SoakStats
+	Promotions   int64 // epoch-fenced failovers executed
+	StaleRetries int64 // client writes redirected by ErrStaleShardEpoch
 }
 
 // RunClusterBench sweeps the configured replication factors and mean
@@ -96,36 +89,13 @@ func RunClusterBench(cfg ClusterBenchConfig) []ClusterPoint {
 				}
 			}
 			res := chaos.ClusterSoak(ccfg)
-			var dur int64
-			for _, w := range res.Writes {
-				if int64(w.AckAt) > dur {
-					dur = int64(w.AckAt)
-				}
-			}
-			pt := ClusterPoint{
+			out = append(out, ClusterPoint{
 				RF:           rf,
 				MeanUptimeNs: up,
-				Crashes:      len(res.Crashes),
-				Acked:        res.Acked,
-				Lost:         res.Lost,
+				SoakStats:    soakStats(&res.Result),
 				Promotions:   res.Promotions,
 				StaleRetries: res.StaleRetries,
-			}
-			if attempts := float64(res.Acked) + float64(res.FailedPuts); attempts > 0 {
-				pt.Availability = float64(res.Acked) / attempts
-			}
-			if dur > 0 {
-				pt.GoodputOps = float64(res.Acked) / (float64(dur) / 1e9)
-			}
-			rec := &stats.Sample{}
-			for _, o := range res.Outages() {
-				rec.Add(float64(o))
-			}
-			if rec.N() > 0 {
-				pt.RecovAvgNs = rec.Mean()
-				pt.RecovP99Ns = rec.Percentile(99)
-			}
-			out = append(out, pt)
+			})
 		}
 	}
 	return out

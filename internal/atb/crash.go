@@ -37,18 +37,45 @@ func DefaultCrashBenchConfig() CrashBenchConfig {
 	}
 }
 
-// CrashPoint is one crash-rate measurement.
-type CrashPoint struct {
-	MeanUptimeNs int64
+// SoakStats is what the crash, cluster and rolling sweeps report from
+// a soak's shared audit.
+type SoakStats struct {
 	Crashes      int     // executed crash–restart cycles
 	Acked        int     // acknowledged writes
-	Lost         int     // acked writes lost (0 under SyncFull)
+	Lost         int     // acked writes the audit found missing
+	Availability float64 // acked / (acked + failed put attempts)
 	GoodputOps   float64 // acked writes per second of virtual time
 	RecovAvgNs   float64 // mean crash → first-subsequent-ack time
 	RecovP99Ns   float64
-	Replays      int64 // idempotent calls replayed across reconnects
-	Connects     int64 // session (re)connects
-	LostTxns     uint64
+	RecovMaxNs   float64
+}
+
+// soakStats derives the sweep statistics from a soak result.
+func soakStats(r *chaos.Result) SoakStats {
+	st := SoakStats{Crashes: len(r.Crashes), Acked: r.Acked, Lost: r.Lost, Availability: r.Availability()}
+	// Writes are logged in ack order, so the last ack ends the run.
+	if n := len(r.Writes); n > 0 && r.Writes[n-1].AckAt > 0 {
+		st.GoodputOps = float64(r.Acked) / (float64(r.Writes[n-1].AckAt) / 1e9)
+	}
+	rec := &stats.Sample{}
+	for _, o := range r.Outages() {
+		rec.Add(float64(o))
+	}
+	if rec.N() > 0 {
+		st.RecovAvgNs = rec.Mean()
+		st.RecovP99Ns = rec.Percentile(99)
+		st.RecovMaxNs = rec.Max()
+	}
+	return st
+}
+
+// CrashPoint is one crash-rate measurement.
+type CrashPoint struct {
+	MeanUptimeNs int64
+	SoakStats
+	Replays  int64 // idempotent calls replayed across reconnects
+	Connects int64 // session (re)connects
+	LostTxns uint64
 }
 
 // RunCrash sweeps the configured mean uptimes, one independent seeded
@@ -72,33 +99,13 @@ func RunCrash(cfg CrashBenchConfig) []CrashPoint {
 				HorizonNs:       cfg.HorizonNs,
 			},
 		})
-		var dur int64
-		for _, w := range res.Writes {
-			if int64(w.AckAt) > dur {
-				dur = int64(w.AckAt)
-			}
-		}
-		pt := CrashPoint{
+		out = append(out, CrashPoint{
 			MeanUptimeNs: up,
-			Crashes:      len(res.Crashes),
-			Acked:        res.Acked,
-			Lost:         res.Lost,
+			SoakStats:    soakStats(&res.Result),
 			Replays:      res.SessionReplays,
 			Connects:     res.SessionConnects,
 			LostTxns:     res.StoreLostTxns,
-		}
-		if dur > 0 {
-			pt.GoodputOps = float64(res.Acked) / (float64(dur) / 1e9)
-		}
-		rec := &stats.Sample{}
-		for _, o := range res.Outages() {
-			rec.Add(float64(o))
-		}
-		if rec.N() > 0 {
-			pt.RecovAvgNs = rec.Mean()
-			pt.RecovP99Ns = rec.Percentile(99)
-		}
-		out = append(out, pt)
+		})
 	}
 	return out
 }

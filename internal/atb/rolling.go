@@ -42,20 +42,18 @@ func DefaultRollingBenchConfig() RollingBenchConfig {
 }
 
 // RollingPoint is one (mode, drain deadline, stagger) measurement.
+// Its recovery times run from each node stop — a crash of the machine —
+// to the first subsequent ack.
 type RollingPoint struct {
 	Graceful        bool
 	DrainDeadlineNs int64 // 0 on hard-kill rows
 	StaggerNs       int64
-	Acked           int
-	Lost            int
-	Availability    float64
-	Escalations     int64
-	DrainedReqs     int64
-	Promotions      int64
-	ErrWindowNs     int64 // summed error-visible window across cycles
-	RecovAvgNs      float64
-	RecovMaxNs      int64
-	ReadyAvgNs      float64 // mean stop → back-to-ready per cycle
+	SoakStats
+	Escalations int64
+	DrainedReqs int64
+	Promotions  int64
+	ErrWindowNs int64   // summed error-visible window across cycles
+	ReadyAvgNs  float64 // mean stop → back-to-ready per cycle
 }
 
 // RunRollingBench runs the sweep: per stagger, one hard-kill baseline
@@ -90,34 +88,22 @@ func runRollingPoint(cfg RollingBenchConfig, graceful bool, drainDL, stagger int
 		panic("atb: rolling soak: " + err.Error()) // static config cannot fail
 	}
 	pt := RollingPoint{
-		Graceful:     graceful,
-		StaggerNs:    stagger,
-		Acked:        res.Acked,
-		Lost:         res.Lost,
-		Availability: res.Availability(),
-		Escalations:  res.Escalations,
-		DrainedReqs:  res.DrainedRequests,
-		Promotions:   res.Promotions,
-		ErrWindowNs:  res.ErrWindowNs,
+		Graceful:    graceful,
+		StaggerNs:   stagger,
+		SoakStats:   soakStats(&res.Result),
+		Escalations: res.Escalations,
+		DrainedReqs: res.DrainedRequests,
+		Promotions:  res.Promotions,
+		ErrWindowNs: res.ErrWindowNs,
 	}
 	if graceful {
 		pt.DrainDeadlineNs = drainDL
 	}
-	recov := &stats.Sample{}
 	ready := &stats.Sample{}
 	for _, c := range res.Cycles {
-		if c.RecoveryNs > 0 {
-			recov.Add(float64(c.RecoveryNs))
-			if c.RecoveryNs > pt.RecovMaxNs {
-				pt.RecovMaxNs = c.RecoveryNs
-			}
-		}
 		if c.ReadyAt > c.StopAt {
 			ready.Add(float64(c.ReadyAt - c.StopAt))
 		}
-	}
-	if recov.N() > 0 {
-		pt.RecovAvgNs = recov.Mean()
 	}
 	if ready.N() > 0 {
 		pt.ReadyAvgNs = ready.Mean()

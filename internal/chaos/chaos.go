@@ -1,23 +1,29 @@
-// Package chaos is the crash–restart soak harness (DESIGN.md §12): it
-// drives HatKV through a randomized, seeded crash schedule and audits
-// the durability contract of the active sync mode against the acked
-// writes. The harness wires every lifecycle layer together — the
-// simnet CrashPlan kills and reboots the server node, the verbs device
-// dies and is reopened with a new epoch, the engine Session layer
-// re-dials and replays idempotent calls, and the hatkv Store rolls the
-// backend to its durable root — and the checker then asserts:
+// Package chaos is the soak harness (DESIGN.md §12, §15, §17). One
+// driver runs retry-until-acked workers against a target under a seeded
+// disruption schedule, then audits every acked write against the state
+// that survived. The target is one of three systems:
 //
-//	(a) under SyncFull no acknowledged write is ever lost;
-//	(b) under NoSync every lost acked write is explained by a crash
-//	    that rolled back past its commit, and the total loss is
-//	    bounded by the rolled-back commit count (the un-synced window);
-//	(c) a run is a pure function of its seed: two same-seed soaks
+//   - a single hatkv server behind engine.Serve, reached through
+//     reconnecting Sessions (Soak);
+//   - a sharded, replicated cluster of cluster.Node boots (ClusterSoak);
+//   - a fleet of lifecycle-managed node.HatNode boots (RollingSoak).
+//
+// The schedule is a simnet crash plan, a simnet fault plan and an
+// optional operator process — the rolling restarts. The driver owns the
+// fabric, the client engine, the crash log, the worker loop and the
+// watchdog; a target owns what runs on the server nodes, how a worker
+// reaches it, and its own audit:
+//
+//	(a) under SyncFull no acknowledged write is ever lost, on any target;
+//	(b) on the single store under NoSync, every lost acked write is
+//	    explained by a crash that rolled back past its commit, and the
+//	    total loss is bounded by the rolled-back commit count;
+//	(c) a run is a pure function of its config: two same-seed soaks
 //	    produce byte-identical reports.
 package chaos
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -29,294 +35,230 @@ import (
 	"hatrpc/internal/simnet"
 )
 
-// Wire functions of the soak's minimal KV service. FnPut commits
-// key→value and answers with the 8-byte commit transaction id — the
-// handle the checker later correlates with crash rollbacks. FnGet
-// answers with the value or nothing.
-const (
-	FnPut uint32 = 1
-	FnGet uint32 = 2
-)
-
-// Port is the soak service's engine port.
-const Port = "hatkv-chaos"
-
-// Config parameterizes one soak run. The zero value is filled with
-// small defaults; Crash must be a valid simnet.CrashConfig for any
-// crashing to happen.
-type Config struct {
-	Seed            int64
-	Sync            lmdb.SyncMode
-	Workers         int
-	WritesPerWorker int
-	// WritePaceNs idles each worker between writes so the workload spans
-	// the crash schedule instead of racing ahead of it.
-	WritePaceNs int64
-	// KeepaliveNs enables session keepalive probing at this interval.
-	KeepaliveNs int64
-	Crash       simnet.CrashConfig
-}
-
-// Crash is one executed crash as the harness observed it: when it hit,
-// the transaction id the store recovered to, and how many committed
-// transactions that rollback destroyed.
+// Crash is one executed server crash as the crash log observed it. The
+// single-store target also records the transaction id the store
+// recovered to and how many committed transactions that rollback
+// destroyed.
 type Crash struct {
+	Node         int
 	At           sim.Time
 	RolledBackTo uint64
 	LostTxns     uint64
 }
 
-// Write is one acknowledged write: the commit txn id the server
-// answered with and the virtual time the ack reached the worker. Lost
-// is filled by the audit.
+// Write is one acknowledged write: when the put was first attempted and
+// when its ack reached the worker. Txn is the commit id the single-store
+// target answers with. Lost is filled by the audit.
 type Write struct {
 	Key   string
 	Txn   uint64
+	Start sim.Time
 	AckAt sim.Time
 	Lost  bool
 }
 
-// Result is the audited outcome of a soak run.
+// Result is the audited outcome every soak shares.
 type Result struct {
 	Crashes []Crash
-	Writes  []Write
+	Writes  []Write // in ack order
 
-	Acked       int // every write is retried until acked, so this is the write count
-	Lost        int // acked writes absent from the surviving store
-	Unexplained int // lost writes no crash accounts for — always a bug
-	// BoundViolated: more acked writes were lost than committed
-	// transactions were rolled back — always a bug.
-	BoundViolated bool
-	GetChecks     int
-	GetMismatches int // read-backs returning wrong bytes — always a bug
-	FailedCalls   int64
-
-	SessionConnects int64
-	SessionReplays  int64
-	SessionResets   int64
-
-	StoreRecoveries int64
-	StoreLostTxns   uint64
-	FinalTxn        uint64
-	FinalEntries    int64
-	Incomplete      int // workers still unfinished when the watchdog fired
+	Acked         int   // every write is retried until acked, so this is the write count
+	Lost          int   // acked writes the target's audit found missing
+	GetChecks     int   // read-backs issued, one per fifth write
+	GetMismatches int   // read-backs returning wrong bytes — always a bug
+	FailedPuts    int64 // put attempts that failed and were retried
+	Incomplete    int   // workers still unfinished when the watchdog fired
 }
 
-// Soak runs one chaos soak to completion and audits it.
-func Soak(cfg Config) *Result {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.WritesPerWorker <= 0 {
-		cfg.WritesPerWorker = 50
-	}
-	env := sim.NewEnv(cfg.Seed)
-	cl := simnet.NewCluster(env, simnet.Config{
-		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
-	})
-	server := cl.Node(0)
+// plan is one soak's workload and disruption schedule.
+type plan struct {
+	seed    int64
+	servers int // fabric nodes 0..servers-1 host the target, the next one the workers
+	workers int
+	writes  int   // per worker
+	paceNs  int64 // idle time between writes, so the workload spans the schedule
+	crash   simnet.CrashConfig
+	faults  simnet.FaultConfig
+	// operator, when set, runs beside the workers; the soak ends once it
+	// and every worker have finished.
+	operator func(p *sim.Proc, roster []*simnet.Node)
+	// watchdogNs ends the soak even if a worker wedges; the audit then
+	// reports the unfinished workers. 0 = no watchdog.
+	watchdogNs int64
+}
 
-	store, err := hatkv.NewStore(server, nil, nil)
+// target is the system under soak.
+type target interface {
+	// boot provisions server i of roster and arranges its reboots.
+	boot(roster []*simnet.Node, i int) error
+	// crashed completes a crash-log entry; it runs after the target's
+	// own crash hooks.
+	crashed(c *Crash)
+	// dial opens one worker's client through the workers' engine.
+	dial(p *sim.Proc, eng *engine.Engine, roster []*simnet.Node) client
+	// audit harvests the target's counters once the run has ended and
+	// marks the acked writes it finds lost.
+	audit()
+}
+
+// client is one worker's connection to the target.
+type client interface {
+	// put writes key→key; txn is the commit id where the target has one.
+	put(p *sim.Proc, key string) (txn uint64, err error)
+	// get reads key; a key the target does not hold is an error.
+	get(p *sim.Proc, key string) ([]byte, error)
+}
+
+// engineConfig is the engine of the workers and of the servers the
+// driver builds itself: the circuit breaker opens after 4 consecutive
+// failures and half-opens after 500µs, so a worker backs off a dead
+// server instead of burning its retry budget.
+func engineConfig() engine.Config {
+	c := engine.DefaultConfig()
+	c.BreakerThreshold = 4
+	c.BreakerCooldown = 500_000
+	return c
+}
+
+// openStore creates a server's durable store in the given sync mode.
+func openStore(sn *simnet.Node, sync lmdb.SyncMode) (*hatkv.Store, error) {
+	store, err := hatkv.NewStore(sn, nil, nil)
 	if err != nil {
-		panic("chaos: " + err.Error()) // nil hints cannot fail
+		return nil, err
 	}
-	if err := store.Env().SetSync(cfg.Sync); err != nil {
-		panic("chaos: " + err.Error())
-	}
+	return store, store.Env().SetSync(sync)
+}
 
-	res := &Result{}
-	// The crash log is durable harness state: registered after the store
-	// was created, so the store's own hook has already rolled the backend
-	// back by the time this one reads it; re-arms itself like the store.
-	var seenLost uint64
-	var logCrash func()
-	logCrash = func() {
-		res.Crashes = append(res.Crashes, Crash{
-			At:           env.Now(),
-			RolledBackTo: store.Env().TxnID(),
-			LostTxns:     store.LostTxns - seenLost,
-		})
-		seenLost = store.LostTxns
-		server.OnCrash(logCrash)
+// run drives one soak of t under pl to completion, filling r.
+func run(pl plan, t target, r *Result) error {
+	env := sim.NewEnv(pl.seed)
+	cl := simnet.NewCluster(env, simnet.Config{
+		Nodes: pl.servers + 1, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
+	})
+	roster := make([]*simnet.Node, pl.servers)
+	for i := range roster {
+		roster[i] = cl.Node(i)
 	}
-	server.OnCrash(logCrash)
-
-	ecfg := engine.DefaultConfig()
-	ecfg.BreakerThreshold = 4
-	ecfg.BreakerCooldown = 500_000
-	handler := func(p *sim.Proc, fn uint32, req []byte) []byte {
-		switch fn {
-		case FnPut:
-			txn, err := store.PutTxn(p, string(req), req)
-			if err != nil {
-				return nil
-			}
-			var out [8]byte
-			binary.BigEndian.PutUint64(out[:], txn)
-			return out[:]
-		case FnGet:
-			v, err := store.Get(p, string(req))
-			if err != nil {
-				return nil
-			}
-			return v
+	for i, sn := range roster {
+		if err := t.boot(roster, i); err != nil {
+			return err
 		}
-		return nil
+		// The crash log is durable harness state: registered after the
+		// target's hooks, so a store has rolled back by the time the log
+		// reads it; it re-arms itself across boots like the store does.
+		var logCrash func()
+		logCrash = func() {
+			c := Crash{Node: i, At: env.Now()}
+			t.crashed(&c)
+			r.Crashes = append(r.Crashes, c)
+			sn.OnCrash(logCrash)
+		}
+		sn.OnCrash(logCrash)
 	}
-	// Each boot of the server node builds a fresh engine and server over
-	// the one durable store; the crashed boot's engine dies with its
-	// device and processes.
-	boot := func() { engine.New(server, ecfg).Serve(Port, handler) }
-	boot()
-	server.SetRestart(func(p *sim.Proc) { boot() })
-	cl.InstallCrashes(cfg.Crash)
+	cl.InstallCrashes(pl.crash)
+	cl.InstallFaults(pl.faults)
 
-	cliEng := engine.New(cl.Node(1), ecfg)
-	opts := engine.CallOpts{Proto: engine.EagerSendRecv, Idempotent: true}
-	var sessions []*engine.Session
-	done := 0
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		env.Spawn(fmt.Sprintf("chaos-worker-%d", w), func(p *sim.Proc) {
-			var s *engine.Session
-			for s == nil {
-				var err error
-				s, err = cliEng.NewSession(p, server, Port, engine.SessionConfig{
-					KeepaliveInterval: sim.Duration(cfg.KeepaliveNs),
-				})
-				if err != nil {
-					p.Sleep(200_000) // server down at dial time; try again
-				}
-			}
-			sessions = append(sessions, s)
-			for i := 0; i < cfg.WritesPerWorker; i++ {
+	eng := engine.New(cl.Node(pl.servers), engineConfig())
+	done, opsDone := 0, pl.operator == nil
+	maybeStop := func() {
+		if opsDone && done == pl.workers {
+			env.Stop()
+		}
+	}
+	for w := 0; w < pl.workers; w++ {
+		env.Spawn(fmt.Sprintf("soak-worker-%d", w), func(p *sim.Proc) {
+			c := t.dial(p, eng, roster)
+			for i := 0; i < pl.writes; i++ {
 				key := fmt.Sprintf("w%02d-%05d", w, i)
+				start := p.Now()
 				for {
-					resp, err := s.Call(p, FnPut, []byte(key), opts)
-					if err == nil && len(resp) == 8 {
-						res.Writes = append(res.Writes, Write{
-							Key: key, Txn: binary.BigEndian.Uint64(resp), AckAt: p.Now(),
-						})
+					txn, err := c.put(p, key)
+					if err == nil {
+						r.Writes = append(r.Writes, Write{Key: key, Txn: txn, Start: start, AckAt: p.Now()})
 						break
 					}
-					res.FailedCalls++
+					r.FailedPuts++
 					p.Sleep(250_000) // outage or overload; back off and re-ack
 				}
 				if i%5 == 4 {
-					// Read-back: a non-empty answer must be the exact bytes
-					// written (a rolled-back key answering empty is legal).
-					res.GetChecks++
-					v, err := s.Call(p, FnGet, []byte(key), opts)
-					if err == nil && len(v) > 0 && !bytes.Equal(v, []byte(key)) {
-						res.GetMismatches++
+					// Read-back: a value the target answers must be the
+					// exact bytes written.
+					r.GetChecks++
+					if v, err := c.get(p, key); err == nil && !bytes.Equal(v, []byte(key)) {
+						r.GetMismatches++
 					}
 				}
-				if cfg.WritePaceNs > 0 {
-					p.Sleep(sim.Duration(cfg.WritePaceNs))
+				if pl.paceNs > 0 {
+					p.Sleep(sim.Duration(pl.paceNs))
 				}
 			}
 			done++
-			if done == cfg.Workers {
-				env.Stop()
-			}
+			maybeStop()
 		})
 	}
-	if cfg.Crash.HorizonNs > 0 {
-		// Watchdog: a soak must terminate even if a worker wedges; the
-		// audit then reports the unfinished workers.
-		env.At(sim.Time(4*cfg.Crash.HorizonNs), env.Stop)
+	if pl.operator != nil {
+		env.Spawn("soak-operator", func(p *sim.Proc) {
+			pl.operator(p, roster)
+			opsDone = true
+			maybeStop()
+		})
+	}
+	if pl.watchdogNs > 0 {
+		env.At(sim.Time(pl.watchdogNs), env.Stop)
 	}
 	env.Run()
 
-	res.Incomplete = cfg.Workers - done
-	for _, s := range sessions {
-		st := s.Stats()
-		res.SessionConnects += st.Connects
-		res.SessionReplays += st.Replays
-		res.SessionResets += st.Resets
-	}
-	audit(res, store)
-	return res
+	r.Incomplete = pl.workers - done
+	r.Acked = len(r.Writes)
+	t.audit()
+	return nil
 }
 
-// ackSlackNs absorbs ack propagation when attributing a loss to a
-// crash: the commit happens strictly before the ack arrives, so a crash
-// landing in that sub-window has At slightly below AckAt.
-const ackSlackNs = 100_000
-
-// audit fills the loss accounting by comparing every acked write
-// against the surviving store state.
-func audit(res *Result, store *hatkv.Store) {
-	res.StoreRecoveries = store.Recoveries
-	res.StoreLostTxns = store.LostTxns
-	res.FinalTxn = store.Env().TxnID()
-	res.FinalEntries = store.Env().Entries()
-	r, err := store.Env().BeginRead()
-	if err != nil {
-		res.Unexplained = len(res.Writes)
-		return
-	}
-	defer r.Abort()
-	for i := range res.Writes {
-		w := &res.Writes[i]
-		res.Acked++
-		if _, err := r.Get([]byte(w.Key)); err == nil {
-			continue
-		}
-		w.Lost = true
-		res.Lost++
-		explained := false
-		for _, c := range res.Crashes {
-			if int64(c.At) >= int64(w.AckAt)-ackSlackNs && c.RolledBackTo < w.Txn {
-				explained = true
-				break
-			}
-		}
-		if !explained {
-			res.Unexplained++
+// recovery returns the time from at to the first ack after it — the
+// client-visible recovery time — or 0 if no ack followed.
+func (r *Result) recovery(at sim.Time) int64 {
+	for _, w := range r.Writes {
+		if w.AckAt > at {
+			return int64(w.AckAt - at)
 		}
 	}
-	// Every lost acked write consumed one distinct rolled-back commit.
-	res.BoundViolated = uint64(res.Lost) > res.StoreLostTxns
+	return 0
 }
 
 // Outages returns, per crash, the time from the crash to the first
-// subsequent acked write — the client-visible recovery time. Crashes
-// with no ack after them (end of run) are omitted.
+// subsequent acked write anywhere. Crashes with no ack after them (end
+// of run) are omitted.
 func (r *Result) Outages() []int64 {
 	var out []int64
 	for _, c := range r.Crashes {
-		for _, w := range r.Writes {
-			if w.AckAt > c.At {
-				out = append(out, int64(w.AckAt-c.At))
-				break
-			}
+		if d := r.recovery(c.At); d > 0 {
+			out = append(out, d)
 		}
 	}
 	return out
 }
 
-// Report renders the full audited outcome deterministically — two
-// same-seed soaks must produce byte-identical reports. The (large)
-// write log is folded into an FNV-1a digest.
-func (r *Result) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chaos soak: acked=%d lost=%d unexplained=%d bound_violated=%v\n",
-		r.Acked, r.Lost, r.Unexplained, r.BoundViolated)
-	fmt.Fprintf(&b, "gets=%d mismatches=%d failed_calls=%d incomplete=%d\n",
-		r.GetChecks, r.GetMismatches, r.FailedCalls, r.Incomplete)
-	fmt.Fprintf(&b, "sessions: connects=%d replays=%d resets=%d\n",
-		r.SessionConnects, r.SessionReplays, r.SessionResets)
-	fmt.Fprintf(&b, "store: recoveries=%d lost_txns=%d final_txn=%d entries=%d\n",
-		r.StoreRecoveries, r.StoreLostTxns, r.FinalTxn, r.FinalEntries)
-	fmt.Fprintf(&b, "crashes: %d\n", len(r.Crashes))
-	for _, c := range r.Crashes {
-		fmt.Fprintf(&b, "  at=%d rolled_back_to=%d lost=%d\n", c.At, c.RolledBackTo, c.LostTxns)
+// Availability is acked puts over all put outcomes (acked + failed).
+// Each failed put already represents a full client-side retry budget
+// exhausted, so this is a strict client-visible availability measure.
+func (r *Result) Availability() float64 {
+	total := float64(r.Acked) + float64(r.FailedPuts)
+	if total == 0 {
+		return 1
 	}
+	return float64(r.Acked) / total
+}
+
+// writeDigest folds the write log into an FNV-1a digest line, so a
+// report pins every write without listing it. txn adds the commit ids.
+func (r *Result) writeDigest(b *strings.Builder, txn bool) {
 	h := fnv.New64a()
 	for _, w := range r.Writes {
-		fmt.Fprintf(h, "%s|%d|%d|%v\n", w.Key, w.Txn, w.AckAt, w.Lost)
+		if txn {
+			fmt.Fprintf(h, "%s|%d|%d|%v\n", w.Key, w.Txn, w.AckAt, w.Lost)
+		} else {
+			fmt.Fprintf(h, "%s|%d|%v\n", w.Key, w.AckAt, w.Lost)
+		}
 	}
-	fmt.Fprintf(&b, "writes_digest=%016x\n", h.Sum64())
-	return b.String()
+	fmt.Fprintf(b, "writes_digest=%016x\n", h.Sum64())
 }

@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"hatrpc/internal/cluster"
@@ -33,39 +31,12 @@ type ClusterConfig struct {
 	Faults simnet.FaultConfig
 }
 
-// NodeCrash is one executed server crash.
-type NodeCrash struct {
-	Node int
-	At   sim.Time
-}
-
-// ClusterWrite is one acknowledged cluster write. Lost is filled by the
-// audit against the shard's authority replica.
-type ClusterWrite struct {
-	Key   string
-	AckAt sim.Time
-	Lost  bool
-}
-
 // ClusterResult is the audited outcome of a cluster soak.
 type ClusterResult struct {
-	Crashes []NodeCrash
-	Writes  []ClusterWrite
-
-	Acked int
-	Lost  int // acked writes absent from their shard's authority replica
-
-	GetChecks     int
-	GetMismatches int // read-backs returning wrong bytes — always a bug
-	FailedPuts    int64
-	Incomplete    int
+	Result
 
 	// Cluster lifecycle, summed over every boot of every server.
-	Promotions   int64
-	Candidacies  int64
-	Resyncs      int64
-	StaleWrites  int64
-	FencedWrites int64
+	cluster.NodeStats
 
 	// Client routing, summed over the workers.
 	Refreshes    int64
@@ -98,131 +69,90 @@ func ClusterSoak(cfg ClusterConfig) *ClusterResult {
 	if cfg.WritesPerWorker <= 0 {
 		cfg.WritesPerWorker = 40
 	}
-	env := sim.NewEnv(cfg.Seed)
-	cl := simnet.NewCluster(env, simnet.Config{
-		Nodes: cfg.Servers + 1, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
-	})
-
 	ccfg := cluster.Config{Seed: cfg.Seed, NShards: cfg.NShards, RF: cfg.RF}
 	ccfg.NodeIDs = make([]int, cfg.Servers)
 	for i := range ccfg.NodeIDs {
 		ccfg.NodeIDs[i] = i
 	}
-	roster := make([]*simnet.Node, cfg.Servers)
-	for i := range roster {
-		roster[i] = cl.Node(i)
+	t := &clusterTarget{routing: routing{ccfg: ccfg}, sync: cfg.Sync, res: &ClusterResult{}}
+	err := run(plan{
+		seed: cfg.Seed, servers: cfg.Servers,
+		workers: cfg.Workers, writes: cfg.WritesPerWorker, paceNs: cfg.WritePaceNs,
+		crash: cfg.Crash, faults: cfg.Faults, watchdogNs: 4 * cfg.Crash.HorizonNs,
+	}, t, &t.res.Result)
+	if err != nil {
+		panic("chaos: " + err.Error()) // nil hints cannot fail
 	}
+	return t.res
+}
 
-	res := &ClusterResult{}
-	ecfg := engine.DefaultConfig()
-	ecfg.BreakerThreshold = 4
-	ecfg.BreakerCooldown = 500_000
+// clusterTarget boots a cluster.Node per server boot over each server's
+// one durable store.
+type clusterTarget struct {
+	routing
+	sync   lmdb.SyncMode
+	res    *ClusterResult
+	stores []*hatkv.Store
+	nodes  []*cluster.Node // every boot's service, for stat summing
+}
 
-	stores := make([]*hatkv.Store, cfg.Servers)
-	var allNodes []*cluster.Node // every boot's service, for stat summing
-	for i := 0; i < cfg.Servers; i++ {
-		i := i
-		node := cl.Node(i)
-		store, err := hatkv.NewStore(node, nil, nil)
-		if err != nil {
-			panic("chaos: " + err.Error()) // nil hints cannot fail
-		}
-		if err := store.Env().SetSync(cfg.Sync); err != nil {
-			panic("chaos: " + err.Error())
-		}
-		stores[i] = store
-		// Crash log, registered after the store so the backend has rolled
-		// back by the time it runs; re-arms itself across boots.
-		var logCrash func()
-		logCrash = func() {
-			res.Crashes = append(res.Crashes, NodeCrash{Node: i, At: env.Now()})
-			node.OnCrash(logCrash)
-		}
-		node.OnCrash(logCrash)
-		boot := func() {
-			allNodes = append(allNodes, cluster.NewNode(engine.New(node, ecfg), store, roster, i, ccfg))
-		}
-		boot()
-		node.SetRestart(func(p *sim.Proc) { boot() })
+func (t *clusterTarget) boot(roster []*simnet.Node, i int) error {
+	sn := roster[i]
+	store, err := openStore(sn, t.sync)
+	if err != nil {
+		return err
 	}
-	cl.InstallCrashes(cfg.Crash)
-	cl.InstallFaults(cfg.Faults)
+	t.stores = append(t.stores, store)
+	start := func() {
+		t.nodes = append(t.nodes, cluster.NewNode(engine.New(sn, engineConfig()), store, roster, i, t.ccfg))
+	}
+	start()
+	sn.SetRestart(func(*sim.Proc) { start() })
+	return nil
+}
 
-	cliEng := engine.New(cl.Node(cfg.Servers), ecfg)
-	var clients []*cluster.Client
-	done := 0
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		env.Spawn(fmt.Sprintf("cluster-worker-%d", w), func(p *sim.Proc) {
-			c := cluster.NewClient(cliEng, roster, ccfg)
-			clients = append(clients, c)
-			for i := 0; i < cfg.WritesPerWorker; i++ {
-				key := fmt.Sprintf("w%02d-%05d", w, i)
-				for {
-					if err := c.Put(p, key, []byte(key)); err == nil {
-						res.Writes = append(res.Writes, ClusterWrite{Key: key, AckAt: p.Now()})
-						break
-					}
-					res.FailedPuts++
-					p.Sleep(250_000) // outage in progress; back off and re-ack
-				}
-				if i%5 == 4 {
-					// Read-back: an answer must be the exact bytes written
-					// (acked writes never roll back under quorum replication).
-					res.GetChecks++
-					v, err := c.Get(p, key)
-					if err == nil && !bytes.Equal(v, []byte(key)) {
-						res.GetMismatches++
-					}
-				}
-				if cfg.WritePaceNs > 0 {
-					p.Sleep(sim.Duration(cfg.WritePaceNs))
-				}
-			}
-			done++
-			if done == cfg.Workers {
-				env.Stop()
-			}
-		})
+func (t *clusterTarget) audit() {
+	for _, n := range t.nodes {
+		t.res.addNode(n.Stats())
 	}
-	if cfg.Crash.HorizonNs > 0 {
-		// Watchdog: the soak must terminate even if a worker wedges.
-		env.At(sim.Time(4*cfg.Crash.HorizonNs), env.Stop)
-	}
-	env.Run()
+	t.auditShards(t.res, t.stores)
+}
 
-	res.Incomplete = cfg.Workers - done
-	for _, n := range allNodes {
-		st := n.Stats()
-		res.Promotions += st.Promotions
-		res.Candidacies += st.Candidacies
-		res.Resyncs += st.Resyncs
-		res.StaleWrites += st.StaleWrites
-		res.FencedWrites += st.FencedWrites
-	}
-	for _, c := range clients {
+// routing is what the two cluster targets share: workers route through
+// cluster.Clients, and the audit checks every acked write at its
+// shard's authority replica.
+type routing struct {
+	ccfg    cluster.Config
+	clients []*cluster.Client
+}
+
+func (rt *routing) crashed(*Crash) {}
+
+func (rt *routing) dial(p *sim.Proc, eng *engine.Engine, roster []*simnet.Node) client {
+	c := cluster.NewClient(eng, roster, rt.ccfg)
+	rt.clients = append(rt.clients, c)
+	return routed{c}
+}
+
+// auditShards sums the client routing counters, records the final
+// durable shard positions, and checks every acked write against its
+// shard's authority replica.
+func (rt *routing) auditShards(res *ClusterResult, stores []*hatkv.Store) {
+	for _, c := range rt.clients {
 		st := c.Stats()
 		res.Refreshes += st.Refreshes
 		res.StaleRetries += st.StaleRetries
 	}
-	auditCluster(res, ccfg, stores)
-	return res
-}
-
-// auditCluster checks every acked write against its shard's authority
-// replica and records the final durable shard positions.
-func auditCluster(res *ClusterResult, ccfg cluster.Config, stores []*hatkv.Store) {
-	nshards := cluster.NumShards(ccfg)
+	nshards := cluster.NumShards(rt.ccfg)
 	auth := make([]int, nshards)
 	res.ShardEpochs = make([]uint64, nshards)
 	res.ShardSeqs = make([]uint64, nshards)
 	for s := 0; s < nshards; s++ {
-		auth[s] = cluster.ShardAuthority(ccfg, stores, s)
+		auth[s] = cluster.ShardAuthority(rt.ccfg, stores, s)
 		res.ShardEpochs[s], res.ShardSeqs[s] = cluster.ShardPosition(stores[auth[s]], s)
 	}
 	for i := range res.Writes {
 		w := &res.Writes[i]
-		res.Acked++
 		shard := cluster.ShardOf(w.Key, nshards)
 		if !cluster.StoreHas(stores[auth[shard]], shard, w.Key) {
 			w.Lost = true
@@ -231,26 +161,36 @@ func auditCluster(res *ClusterResult, ccfg cluster.Config, stores []*hatkv.Store
 	}
 }
 
-// Outages returns, per crash, the virtual time from the crash to the
-// first subsequent acked write anywhere in the cluster — the
-// client-visible recovery time. Crashes with no ack after them are
-// omitted.
-func (r *ClusterResult) Outages() []int64 {
-	var out []int64
-	for _, c := range r.Crashes {
-		for _, w := range r.Writes {
-			if w.AckAt > c.At {
-				out = append(out, int64(w.AckAt-c.At))
-				break
-			}
-		}
+// routed is a worker's client of a cluster target. An acked write never
+// rolls back under quorum replication, so a missing key is an error.
+type routed struct{ *cluster.Client }
+
+func (c routed) put(p *sim.Proc, key string) (uint64, error) {
+	return 0, c.Put(p, key, []byte(key))
+}
+
+func (c routed) get(p *sim.Proc, key string) ([]byte, error) { return c.Get(p, key) }
+
+// addNode folds one cluster node's lifecycle counters into the sums.
+func (r *ClusterResult) addNode(st cluster.NodeStats) {
+	r.Promotions += st.Promotions
+	r.Candidacies += st.Candidacies
+	r.Resyncs += st.Resyncs
+	r.StaleWrites += st.StaleWrites
+	r.FencedWrites += st.FencedWrites
+}
+
+// writeShards renders the final durable (epoch, seq) of every shard.
+func (r *ClusterResult) writeShards(b *strings.Builder) {
+	fmt.Fprintf(b, "shards:")
+	for s := range r.ShardEpochs {
+		fmt.Fprintf(b, " e%d/s%d", r.ShardEpochs[s], r.ShardSeqs[s])
 	}
-	return out
+	fmt.Fprintf(b, "\n")
 }
 
 // Report renders the audited outcome deterministically — two same-seed
-// soaks must produce byte-identical reports. The write log is folded
-// into an FNV-1a digest.
+// soaks must produce byte-identical reports.
 func (r *ClusterResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster soak: acked=%d lost=%d incomplete=%d\n", r.Acked, r.Lost, r.Incomplete)
@@ -262,15 +202,7 @@ func (r *ClusterResult) Report() string {
 	for _, c := range r.Crashes {
 		fmt.Fprintf(&b, "  node=%d at=%d\n", c.Node, c.At)
 	}
-	fmt.Fprintf(&b, "shards:")
-	for s := range r.ShardEpochs {
-		fmt.Fprintf(&b, " e%d/s%d", r.ShardEpochs[s], r.ShardSeqs[s])
-	}
-	fmt.Fprintf(&b, "\n")
-	h := fnv.New64a()
-	for _, w := range r.Writes {
-		fmt.Fprintf(h, "%s|%d|%v\n", w.Key, w.AckAt, w.Lost)
-	}
-	fmt.Fprintf(&b, "writes_digest=%016x\n", h.Sum64())
+	r.writeShards(&b)
+	r.writeDigest(&b, false)
 	return b.String()
 }

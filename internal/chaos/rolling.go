@@ -1,13 +1,9 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"strings"
 
-	"hatrpc/internal/cluster"
-	"hatrpc/internal/engine"
 	"hatrpc/internal/hatkv"
 	"hatrpc/internal/node"
 	"hatrpc/internal/obs"
@@ -24,7 +20,7 @@ type RollingConfig struct {
 	Node   *node.Config // nil = node.DefaultConfig()
 	Rounds int          // full passes over all servers; 0 = no restarts
 	// Graceful selects drain-then-stop; false hard-kills each node (the
-	// PR 8 failover path) for the contrast benchmark.
+	// plain crash-failover path) for the contrast benchmark.
 	Graceful        bool
 	DrainDeadlineNs int64 // 0 = Node.Application.DrainDeadlineNs
 	RestartDelayNs  int64 // down time before reboot (default 400us)
@@ -58,9 +54,6 @@ const rollingStallNs = 100_000
 type RollingResult struct {
 	ClusterResult
 	Cycles []RestartCycle
-	// PutStarts is parallel to Writes: when each acked put was first
-	// attempted, for stall accounting.
-	PutStarts []sim.Time
 
 	Graceful    bool
 	StalledPuts int   // acked puts that exceeded rollingStallNs
@@ -73,17 +66,6 @@ type RollingResult struct {
 	DrainedRequests int64 // requests fenced with the typed draining reply
 }
 
-// Availability is acked puts over all put outcomes (acked + failed).
-// Each failed put already represents a full client-side retry budget
-// exhausted, so this is a strict client-visible availability measure.
-func (r *RollingResult) Availability() float64 {
-	total := float64(r.Acked) + float64(r.FailedPuts)
-	if total == 0 {
-		return 1
-	}
-	return float64(r.Acked) / total
-}
-
 // RollingSoak runs one rolling-restart soak to completion and audits
 // it: every acked write must survive at its shard's authority replica,
 // and the per-cycle error-visible windows quantify what clients saw.
@@ -92,7 +74,6 @@ func RollingSoak(rc RollingConfig) (*RollingResult, error) {
 	if nc == nil {
 		nc = node.DefaultConfig()
 	}
-	servers := nc.Protocol.Servers
 	if rc.RestartDelayNs <= 0 {
 		rc.RestartDelayNs = 400_000
 	}
@@ -102,201 +83,130 @@ func RollingSoak(rc RollingConfig) (*RollingResult, error) {
 	if rc.WarmupNs <= 0 {
 		rc.WarmupNs = 1_000_000
 	}
-	drainDL := rc.DrainDeadlineNs
-	if drainDL <= 0 {
-		drainDL = nc.Application.DrainDeadlineNs
+	if rc.DrainDeadlineNs <= 0 {
+		rc.DrainDeadlineNs = nc.Application.DrainDeadlineNs
 	}
-	reg := rc.Reg
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if rc.Reg == nil {
+		rc.Reg = obs.NewRegistry()
 	}
-
-	env := sim.NewEnv(nc.Protocol.Seed)
-	cl := simnet.NewCluster(env, simnet.Config{
-		Nodes: servers + 1, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
-	})
-	roster := make([]*simnet.Node, servers)
-	for i := range roster {
-		roster[i] = cl.Node(i)
+	t := &hatTarget{
+		routing: routing{ccfg: nc.ClusterConfig()},
+		rc:      rc, nc: nc, res: &RollingResult{Graceful: rc.Graceful},
 	}
-
-	res := &RollingResult{Graceful: rc.Graceful}
-	hats := make([]*node.HatNode, servers)
-	for i := 0; i < servers; i++ {
-		i := i
-		sn := cl.Node(i)
-		h, err := node.New(sn, roster, i, nc, reg)
-		if err != nil {
-			return nil, err
-		}
-		hats[i] = h
-		// Crash log, registered after the node so its rollback/lifecycle
-		// hooks run first; re-arms itself across boots.
-		var logCrash func()
-		logCrash = func() {
-			res.Crashes = append(res.Crashes, NodeCrash{Node: i, At: env.Now()})
-			sn.OnCrash(logCrash)
-		}
-		sn.OnCrash(logCrash)
-	}
-	if cs := nc.Protocol.Crash; cs.MeanUptimeNs > 0 {
-		ids := make([]int, servers)
-		for i := range ids {
-			ids[i] = i
-		}
-		cl.InstallCrashes(simnet.CrashConfig{
-			Nodes: ids, MeanUptimeNs: cs.MeanUptimeNs, MinUptimeNs: cs.MinUptimeNs,
+	servers := nc.Protocol.Servers
+	wl := nc.Application.Workload
+	cs := nc.Protocol.Crash
+	pl := plan{
+		seed: nc.Protocol.Seed, servers: servers,
+		workers: wl.Workers, writes: wl.Writes, paceNs: wl.PaceNs,
+		crash: simnet.CrashConfig{
+			Nodes: t.ccfg.NodeIDs, MeanUptimeNs: cs.MeanUptimeNs, MinUptimeNs: cs.MinUptimeNs,
 			RestartDelayNs: cs.RestartDelayNs, RestartJitterNs: cs.RestartJitterNs,
 			HorizonNs: cs.HorizonNs,
-		})
+		},
+		// Sized from the workload so legitimate long runs are never cut short.
+		watchdogNs: 4 * (rc.WarmupNs +
+			int64(rc.Rounds)*int64(servers)*(rc.DrainDeadlineNs+rc.RestartDelayNs+rc.StaggerNs) +
+			int64(wl.Writes)*(wl.PaceNs+1_000_000)),
 	}
-
-	ecfg := engine.DefaultConfig()
-	ecfg.BreakerThreshold = 4
-	ecfg.BreakerCooldown = 500_000
-	cliEng := engine.New(cl.Node(servers), ecfg)
-	ccfg := nc.ClusterConfig()
-	wl := nc.Application.Workload
-
-	var clients []*cluster.Client
-	workersDone := 0
-	opsDone := rc.Rounds == 0
-	maybeStop := func() {
-		if opsDone && workersDone == wl.Workers {
-			env.Stop()
-		}
-	}
-	for w := 0; w < wl.Workers; w++ {
-		w := w
-		env.Spawn(fmt.Sprintf("rolling-worker-%d", w), func(p *sim.Proc) {
-			c := cluster.NewClient(cliEng, roster, ccfg)
-			clients = append(clients, c)
-			for i := 0; i < wl.Writes; i++ {
-				key := fmt.Sprintf("w%02d-%05d", w, i)
-				start := p.Now()
-				for {
-					if err := c.Put(p, key, []byte(key)); err == nil {
-						res.Writes = append(res.Writes, ClusterWrite{Key: key, AckAt: p.Now()})
-						res.PutStarts = append(res.PutStarts, start)
-						break
-					}
-					res.FailedPuts++
-					p.Sleep(250_000) // outage in progress; back off and re-ack
-				}
-				if i%5 == 4 {
-					res.GetChecks++
-					v, err := c.Get(p, key)
-					if err == nil && !bytes.Equal(v, []byte(key)) {
-						res.GetMismatches++
-					}
-				}
-				if wl.PaceNs > 0 {
-					p.Sleep(sim.Duration(wl.PaceNs))
-				}
-			}
-			workersDone++
-			maybeStop()
-		})
-	}
-
 	if rc.Rounds > 0 {
-		env.Spawn("rolling-ops", func(p *sim.Proc) {
-			p.Sleep(sim.Duration(rc.WarmupNs))
-			for round := 0; round < rc.Rounds; round++ {
-				for i := 0; i < servers; i++ {
-					cyc := RestartCycle{Node: i, Round: round, StopAt: p.Now()}
-					if rc.Graceful {
-						rep := hats[i].Drain(p, sim.Duration(drainDL))
-						cyc.Escalated = rep.Escalated
-						cyc.Crashed = rep.Crashed
-						hats[i].Stop()
-					} else {
-						cl.Node(i).Crash()
-					}
-					cyc.DownAt = p.Now()
-					res.Cycles = append(res.Cycles, cyc)
-					p.Sleep(sim.Duration(rc.RestartDelayNs))
-					cl.Node(i).Restart()
-					p.Sleep(sim.Duration(rc.StaggerNs))
-				}
-			}
-			opsDone = true
-			maybeStop()
-		})
+		pl.operator = t.roll
 	}
-
-	// Watchdog: the soak must terminate even if a worker wedges. Sized
-	// from the workload so legitimate long runs are never cut short.
-	horizon := 4 * (rc.WarmupNs +
-		int64(rc.Rounds)*int64(servers)*(drainDL+rc.RestartDelayNs+rc.StaggerNs) +
-		int64(wl.Writes)*(wl.PaceNs+1_000_000))
-	env.At(sim.Time(horizon), env.Stop)
-	env.Run()
-
-	res.Incomplete = wl.Workers - workersDone
-	for _, h := range hats {
-		st := h.Stats() // summed across every boot, not just the last
-		res.Promotions += st.Promotions
-		res.Candidacies += st.Candidacies
-		res.Resyncs += st.Resyncs
-		res.StaleWrites += st.StaleWrites
-		res.FencedWrites += st.FencedWrites
-		res.DrainedRequests += h.Drained()
+	if err := run(pl, t, &t.res.Result); err != nil {
+		return nil, err
 	}
-	for _, c := range clients {
-		st := c.Stats()
-		res.Refreshes += st.Refreshes
-		res.StaleRetries += st.StaleRetries
-	}
-	res.Drains = reg.Counter("node.drains").Value()
-	res.Escalations = reg.Counter("node.drain_escalations").Value()
-	res.Reloads = reg.Counter("node.reloads").Value()
-
-	stores := make([]*hatkv.Store, len(hats))
-	for i, h := range hats {
-		stores[i] = h.Store()
-	}
-	auditCluster(&res.ClusterResult, ccfg, stores)
-	fillCycleEconomics(res, hats)
-	return res, nil
+	return t.res, nil
 }
 
-// fillCycleEconomics derives per-cycle ReadyAt, RecoveryNs, and
-// ErrWindowNs from the node transition logs and the put samples.
-func fillCycleEconomics(res *RollingResult, hats []*node.HatNode) {
+// hatTarget boots one node.HatNode per server; the node carries its
+// store, crash hooks and reboots itself.
+type hatTarget struct {
+	routing
+	rc   RollingConfig
+	nc   *node.Config
+	res  *RollingResult
+	hats []*node.HatNode
+}
+
+func (t *hatTarget) boot(roster []*simnet.Node, i int) error {
+	h, err := node.New(roster[i], roster, i, t.nc, t.rc.Reg)
+	if err != nil {
+		return err
+	}
+	t.hats = append(t.hats, h)
+	return nil
+}
+
+// roll is the restart operator: after the warmup it stops every server
+// in turn — drain then stop, or a hard kill — and reboots it.
+func (t *hatTarget) roll(p *sim.Proc, roster []*simnet.Node) {
+	rc := t.rc
+	p.Sleep(sim.Duration(rc.WarmupNs))
+	for round := 0; round < rc.Rounds; round++ {
+		for i, h := range t.hats {
+			cyc := RestartCycle{Node: i, Round: round, StopAt: p.Now()}
+			if rc.Graceful {
+				rep := h.Drain(p, sim.Duration(rc.DrainDeadlineNs))
+				cyc.Escalated = rep.Escalated
+				cyc.Crashed = rep.Crashed
+				h.Stop()
+			} else {
+				roster[i].Crash()
+			}
+			cyc.DownAt = p.Now()
+			t.res.Cycles = append(t.res.Cycles, cyc)
+			p.Sleep(sim.Duration(rc.RestartDelayNs))
+			roster[i].Restart()
+			p.Sleep(sim.Duration(rc.StaggerNs))
+		}
+	}
+}
+
+func (t *hatTarget) audit() {
+	res := t.res
+	stores := make([]*hatkv.Store, len(t.hats))
+	for i, h := range t.hats {
+		res.addNode(h.Stats()) // summed across every boot, not just the last
+		res.DrainedRequests += h.Drained()
+		stores[i] = h.Store()
+	}
+	res.Drains = t.rc.Reg.Counter("node.drains").Value()
+	res.Escalations = t.rc.Reg.Counter("node.drain_escalations").Value()
+	res.Reloads = t.rc.Reg.Counter("node.reloads").Value()
+	t.auditShards(&res.ClusterResult, stores)
+
+	// Cycle economics: back-to-ready from the node transition logs,
+	// recovery and stall windows from the acked writes.
 	for ci := range res.Cycles {
 		cyc := &res.Cycles[ci]
-		for _, tr := range hats[cyc.Node].Transitions() {
+		for _, tr := range t.hats[cyc.Node].Transitions() {
 			if tr.To == node.StateReady && tr.At > cyc.StopAt {
 				cyc.ReadyAt = tr.At
 				break
 			}
 		}
-		for _, w := range res.Writes {
-			if w.AckAt > cyc.DownAt {
-				cyc.RecoveryNs = int64(w.AckAt - cyc.DownAt)
-				break
-			}
-		}
+		cyc.RecoveryNs = res.recovery(cyc.DownAt)
 		end := sim.Time(1) << 62
 		if ci+1 < len(res.Cycles) {
 			end = res.Cycles[ci+1].StopAt
 		}
-		for i, start := range res.PutStarts {
-			if start < cyc.StopAt || start >= end {
-				continue
-			}
-			if lat := int64(res.Writes[i].AckAt - start); lat > rollingStallNs {
-				cyc.ErrWindowNs += lat - rollingStallNs
+		for _, w := range res.Writes {
+			if w.Start >= cyc.StopAt && w.Start < end {
+				cyc.ErrWindowNs += stall(w)
 			}
 		}
 		res.ErrWindowNs += cyc.ErrWindowNs
 	}
-	for i, start := range res.PutStarts {
-		if int64(res.Writes[i].AckAt-start) > rollingStallNs {
+	for _, w := range res.Writes {
+		if stall(w) > 0 {
 			res.StalledPuts++
 		}
 	}
+}
+
+// stall is how far a put's latency exceeded rollingStallNs.
+func stall(w Write) int64 {
+	return max(0, int64(w.AckAt-w.Start)-rollingStallNs)
 }
 
 // Report renders the audited outcome deterministically — two same-seed
@@ -321,15 +231,7 @@ func (r *RollingResult) Report() string {
 		fmt.Fprintf(&b, "  node=%d round=%d stop=%d down=%d ready=%d esc=%v crash=%v errw=%d recov=%d\n",
 			c.Node, c.Round, c.StopAt, c.DownAt, c.ReadyAt, c.Escalated, c.Crashed, c.ErrWindowNs, c.RecoveryNs)
 	}
-	fmt.Fprintf(&b, "shards:")
-	for s := range r.ShardEpochs {
-		fmt.Fprintf(&b, " e%d/s%d", r.ShardEpochs[s], r.ShardSeqs[s])
-	}
-	fmt.Fprintf(&b, "\n")
-	h := fnv.New64a()
-	for _, w := range r.Writes {
-		fmt.Fprintf(h, "%s|%d|%v\n", w.Key, w.AckAt, w.Lost)
-	}
-	fmt.Fprintf(&b, "writes_digest=%016x\n", h.Sum64())
+	r.writeShards(&b)
+	r.writeDigest(&b, false)
 	return b.String()
 }

@@ -103,12 +103,7 @@ func TestRollingGracefulBeatsHardKill(t *testing.T) {
 // seeded crash schedule: whatever interleaving results, zero acked
 // writes may be lost and every worker must finish.
 func TestRollingSoakUnderCrashPlan(t *testing.T) {
-	cfg := node.DefaultConfig()
-	cfg.Protocol.Crash = node.CrashSpec{
-		MeanUptimeNs: 2_000_000, MinUptimeNs: 200_000,
-		RestartDelayNs: 400_000, RestartJitterNs: 200_000, HorizonNs: 12_000_000,
-	}
-	res, err := RollingSoak(RollingConfig{Node: cfg, Rounds: 1, Graceful: true})
+	res, err := RollingSoak(RollingConfig{Node: crashPlanNodeConfig(), Rounds: 1, Graceful: true})
 	if err != nil {
 		t.Fatal(err)
 	}

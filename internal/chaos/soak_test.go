@@ -42,7 +42,7 @@ func soakCycles(t *testing.T) (cycles, minCrashes int) {
 
 // assertSoakInvariants checks the properties every soak must satisfy
 // regardless of sync mode.
-func assertSoakInvariants(t *testing.T, res *Result, minCrashes int) {
+func assertSoakInvariants(t *testing.T, res *StoreResult, minCrashes int) {
 	t.Helper()
 	if res.Incomplete != 0 {
 		t.Fatalf("%d workers never finished (watchdog fired)", res.Incomplete)
@@ -87,7 +87,7 @@ func TestSoakSyncFullNoAckedWriteLost(t *testing.T) {
 		t.Errorf("SyncFull rolled back %d committed txns, want 0", res.StoreLostTxns)
 	}
 	t.Logf("crashes=%d acked=%d replays=%d connects=%d failed_calls=%d",
-		len(res.Crashes), res.Acked, res.SessionReplays, res.SessionConnects, res.FailedCalls)
+		len(res.Crashes), res.Acked, res.SessionReplays, res.SessionConnects, res.FailedPuts)
 }
 
 // TestSoakNoSyncLossBounded: with commits trusted to the page cache,

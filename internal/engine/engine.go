@@ -92,9 +92,6 @@ type Config struct {
 	// response is sent, and callers may hand responses back via
 	// Conn.Recycle.
 	ArenaPayloads bool
-	// AdaptiveSpin is the PollAdaptiveMode spin window per wait entry.
-	// Zero means DefaultAdaptiveSpinNs.
-	AdaptiveSpin sim.Duration
 
 	// SRQSlots moves server-side connections onto one engine-wide shared
 	// receive queue: accepted connections' QPs drain a single ring of

@@ -52,19 +52,13 @@ func resolvePoll(mode PollMode, busy bool) PollMode {
 // boolMode is resolvePoll for call sites that only carry the legacy flag.
 func boolMode(busy bool) PollMode { return resolvePoll(PollFromBusy, busy) }
 
-// DefaultAdaptiveSpinNs is the adaptive poller's spin window applied when
-// Config.AdaptiveSpin is zero: comfortably above BusyDetectNs at low load
-// (so an imminent completion is caught spinning) and close to the
-// InterruptWakeNs it avoids paying.
-const DefaultAdaptiveSpinNs = 5000
+// adaptiveSpinNs is the adaptive poller's spin window: comfortably
+// above BusyDetectNs at low load (so an imminent completion is caught
+// spinning) and close to the InterruptWakeNs it avoids paying.
+const adaptiveSpinNs = 5000
 
 // spinWindow is the connection's adaptive spin budget per wait entry.
-func (c *Conn) spinWindow() sim.Duration {
-	if d := c.eng.cfg.AdaptiveSpin; d > 0 {
-		return d
-	}
-	return DefaultAdaptiveSpinNs
-}
+func (c *Conn) spinWindow() sim.Duration { return adaptiveSpinNs }
 
 // pumpWait parks a pump loop until the connection signal fires. In
 // adaptive mode a waiter whose spin window has expired first demotes
